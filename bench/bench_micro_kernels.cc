@@ -150,6 +150,22 @@ void BM_Conv1dDilated(benchmark::State& state) {
 }
 BENCHMARK(BM_Conv1dDilated)->Arg(64)->Arg(512);
 
+// The STGCN fleet tick's second temporal conv: 8 sessions x 24 sensors
+// of (16 channels, 12 steps) -> 32 gated channels, k=3, causal. Items are
+// multiply-adds.
+void BM_Conv1d(benchmark::State& state) {
+  Rng rng(8);
+  const int64_t batch = 192, cin = 16, len = 12, cout = 32, ksize = 3;
+  T::Tensor x = T::Tensor::Randn({batch, cin, len}, &rng);
+  T::Tensor w = T::Tensor::Randn({cout, cin, ksize}, &rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(T::Conv1d(x, w, 1, ksize - 1, 0));
+  }
+  state.SetItemsProcessed(state.iterations() * batch * len * cout * cin *
+                          ksize);
+}
+BENCHMARK(BM_Conv1d);
+
 }  // namespace
 }  // namespace dyhsl
 

@@ -1,16 +1,13 @@
 #include "src/baselines/gnn_models.h"
 
-#include <atomic>
 #include <cmath>
 #include <cstring>
-#include <mutex>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "src/autograd/inference.h"
 #include "src/autograd/ops.h"
 #include "src/core/check.h"
+#include "src/core/thread_local_registry.h"
 #include "src/graph/graph.h"
 #include "src/graph/temporal_graph.h"
 #include "src/nn/init.h"
@@ -606,68 +603,9 @@ struct DhgnnStructure {
   T::TopKPatternCache::Stats stats;
 };
 
-// Same bounded-registry scheme as DhslBlock's pattern caches: the model
-// destructor retires its id and bumps a generation; each thread sweeps
-// retired entries out of its registry before the next lookup, so a
-// long-lived serving thread never accumulates structures for dead models.
-std::mutex& DhgnnLiveIdMutex() {
-  static std::mutex mu;
-  return mu;
-}
-
-std::unordered_set<uint64_t>& DhgnnLiveIds() {
-  // Leaked: serving threads may sweep during static destruction.
-  static auto* ids = new std::unordered_set<uint64_t>();
-  return *ids;
-}
-
-std::atomic<uint64_t>& DhgnnLiveGeneration() {
-  static std::atomic<uint64_t> gen{0};
-  return gen;
-}
-
-uint64_t NextDhgnnCacheId() {
-  static std::atomic<uint64_t> counter{0};
-  uint64_t id = counter.fetch_add(1, std::memory_order_relaxed) + 1;
-  std::lock_guard<std::mutex> lock(DhgnnLiveIdMutex());
-  DhgnnLiveIds().insert(id);
-  return id;
-}
-
-void RetireDhgnnCacheId(uint64_t id) {
-  std::lock_guard<std::mutex> lock(DhgnnLiveIdMutex());
-  DhgnnLiveIds().erase(id);
-  DhgnnLiveGeneration().fetch_add(1, std::memory_order_release);
-}
-
-struct DhgnnThreadRegistry {
-  std::unordered_map<uint64_t, DhgnnStructure> structures;
-  uint64_t seen_generation = 0;
-};
-
-DhgnnThreadRegistry& DhgnnRegistryForThread() {
-  thread_local DhgnnThreadRegistry registry;
-  return registry;
-}
-
-void DhgnnSweepDeadIds(DhgnnThreadRegistry& registry) {
-  const uint64_t gen =
-      DhgnnLiveGeneration().load(std::memory_order_acquire);
-  if (gen == registry.seen_generation) return;
-  std::lock_guard<std::mutex> lock(DhgnnLiveIdMutex());
-  for (auto it = registry.structures.begin();
-       it != registry.structures.end();) {
-    it = DhgnnLiveIds().count(it->first) ? std::next(it)
-                                         : registry.structures.erase(it);
-  }
-  registry.seen_generation = gen;
-}
-
-DhgnnStructure& DhgnnCacheForThread(uint64_t cache_id) {
-  DhgnnThreadRegistry& registry = DhgnnRegistryForThread();
-  DhgnnSweepDeadIds(registry);
-  return registry.structures[cache_id];
-}
+// Per-thread structures keyed by model id, bounded against model churn
+// (see src/core/thread_local_registry.h).
+using DhgnnRegistry = core::ThreadLocalRegistry<DhgnnStructure>;
 
 // A node counts as drifted once its signature mean moved by more than
 // this relative tolerance — the per-row analogue of CountDriftedRows'
@@ -726,7 +664,7 @@ Dhgnn::Dhgnn(const train::ForecastTask& task, int64_t hidden_dim,
       knn_(knn),
       structure_reuse_(structure_reuse),
       structure_drift_threshold_(structure_drift_threshold),
-      cache_id_(NextDhgnnCacheId()),
+      cache_id_(DhgnnRegistry::Register()),
       encoder_(task.input_dim, hidden_dim, &rng_),
       hconv1_(hidden_dim, hidden_dim, &rng_),
       hconv2_(hidden_dim, hidden_dim, &rng_),
@@ -740,19 +678,17 @@ Dhgnn::Dhgnn(const train::ForecastTask& task, int64_t hidden_dim,
 }
 
 int64_t ThreadStructureRegistrySizeForTesting() {
-  DhgnnThreadRegistry& registry = DhgnnRegistryForThread();
-  DhgnnSweepDeadIds(registry);
-  return static_cast<int64_t>(registry.structures.size());
+  return DhgnnRegistry::ThreadSize();
 }
 
-Dhgnn::~Dhgnn() { RetireDhgnnCacheId(cache_id_); }
+Dhgnn::~Dhgnn() { DhgnnRegistry::Retire(cache_id_); }
 
 tensor::TopKPatternCache::Stats Dhgnn::StructureCacheStats() const {
-  return DhgnnCacheForThread(cache_id_).stats;
+  return DhgnnRegistry::ForThread(cache_id_).stats;
 }
 
 void Dhgnn::ClearStructureCache() const {
-  DhgnnStructure& cache = DhgnnCacheForThread(cache_id_);
+  DhgnnStructure& cache = DhgnnRegistry::ForThread(cache_id_);
   const T::TopKPatternCache::Stats stats = cache.stats;
   cache = DhgnnStructure();
   cache.stats = stats;  // Clear drops the structure, not the counters
@@ -780,7 +716,7 @@ Variable Dhgnn::Forward(const tensor::Tensor& x, bool training) {
     // it. Identical windows drift zero nodes, so reuse is exact there;
     // a sliding window pays the O(N T) mean check instead of the
     // k-means + kNN rebuild until the flow regime actually moves.
-    DhgnnStructure& cache = DhgnnCacheForThread(cache_id_);
+    DhgnnStructure& cache = DhgnnRegistry::ForThread(cache_id_);
     std::vector<float> means = SignatureMeans(signatures);
     bool rebuild = true;
     if (!cache.valid) {

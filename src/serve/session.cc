@@ -41,6 +41,7 @@ struct SessionManager::Session {
   int64_t forecasts = 0;
   int64_t resyncs = 0;
   int64_t rejected = 0;
+  int64_t nonfinite = 0;
   int64_t since_resync = 0;
 
   /// One ring per engine: (N, F) frames unsharded, shard-local (L, F)
@@ -267,8 +268,16 @@ Status SessionManager::IngestFrameLocked(Session* s, int64_t tick,
   const float* raw = raw_flow.data();
   float* staged = s->staging.data();
   for (int64_t i = 0; i < n; ++i) {
+    // A non-finite reading is a dropout: it is staged as 0 raw flow (the
+    // PEMS missing-value fill), so it can never poison the ring window or
+    // a warm recurrent carry.
+    float v = raw[i];
+    if (!std::isfinite(v)) {
+      v = 0.0f;
+      s->nonfinite += 1;
+    }
     float* dst = staged + i * f;
-    dst[0] = (raw[i] - s->scaler_mean) / s->scaler_std;
+    dst[0] = (v - s->scaler_mean) / s->scaler_std;
     dst[1] = tod;
     dst[2] = dow;
   }
@@ -288,13 +297,13 @@ Status SessionManager::IngestFrameLocked(Session* s, int64_t tick,
   }
 
   // Rolling masked raw-flow moments (drift monitor; serving keeps the
-  // training scaler).
+  // training scaler). Dropouts, non-finite ones included, stay out.
   double sum = 0.0;
   double sum_sq = 0.0;
   int64_t unmasked = 0;
   for (int64_t i = 0; i < n; ++i) {
     const float v = raw[i];
-    if (v > s->options.mask_threshold) {
+    if (std::isfinite(v) && v > s->options.mask_threshold) {
       sum += v;
       sum_sq += static_cast<double>(v) * v;
       unmasked += 1;
@@ -715,6 +724,7 @@ Result<SessionStats> SessionManager::SessionInfo(
   stats.forecasts = session->forecasts;
   stats.resyncs = session->resyncs;
   stats.rejected_ticks = session->rejected;
+  stats.nonfinite = session->nonfinite;
   stats.buffered = session->rings[0].count();
   stats.rolling_mean = static_cast<float>(session->ema_mean);
   const double var = session->ema_sq - session->ema_mean * session->ema_mean;

@@ -16,7 +16,8 @@
 //  * Append() ingests one tick of raw flow (N floats), derives the
 //    MakeInput feature layout (scaled flow, time-of-day, day-of-week)
 //    bit-identically from the absolute tick index, and pushes the frame
-//    into every ring. Ticks are strictly sequential: a duplicate,
+//    into every ring. A NaN/Inf reading is ingested as a dropout (0 raw
+//    flow) and counted in SessionStats::nonfinite. Ticks are strictly sequential: a duplicate,
 //    out-of-order or gapped tick is rejected with kInvalidArgument and
 //    the session stays on its last consistent state.
 //  * Forecast() serves from the hot window with zero window assembly:
@@ -121,6 +122,9 @@ struct SessionStats {
   int64_t resyncs = 0;
   /// Appends rejected for tick-sequence violations.
   int64_t rejected_ticks = 0;
+  /// NaN/Inf readings ingested as dropouts (0 raw flow), kept out of the
+  /// rolling moments.
+  int64_t nonfinite = 0;
   /// Frames currently buffered, in [0, history].
   int64_t buffered = 0;
   /// Rolling (EMA) mean / stddev of masked raw readings.

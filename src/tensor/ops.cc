@@ -866,40 +866,127 @@ Tensor MaxPoolAxisValues(const Tensor& a, int64_t axis, int64_t window) {
   return out;
 }
 
+namespace {
+
+// Conv1d runs as one blocked GEMM over an im2col panel. Panel row (b, t)
+// -- rows are b-major, so a row range is a run of whole or partial batch
+// items -- holds at column ci * ksize + k the input tap
+// x[b][ci][t + k * dilation - pad_left], zero where the tap falls in the
+// padding. With W viewed as (cout, cin * ksize):
+//   forward          out_rows = col · Wᵀ      (rows, cout)
+//   weight gradient  gW       = G_rowsᵀ · col (cout, cin * ksize)
+//   input gradient   gcol     = G_rows · W,   scattered back by col2im
+// where *_rows is a (B, cout, Lout) tensor restaged as (rows, cout).
+struct ConvGeometry {
+  int64_t batch, cin, len, cout, ksize, dilation, pad_left, lout;
+  int64_t kdim() const { return cin * ksize; }
+  int64_t rows() const { return batch * lout; }
+};
+
+// Rows are processed in chunks whose panel and (rows, cout) staging fit
+// in this many floats, so transient memory does not grow with the batch.
+// The bound is a constant of the shape, never of the thread count, which
+// keeps the chunked weight-gradient reduction deterministic.
+constexpr int64_t kConvChunkFloats = 1 << 16;
+
+int64_t ConvChunkRows(const ConvGeometry& g) {
+  return std::min(g.rows(),
+                  std::max<int64_t>(1, kConvChunkFloats / (g.kdim() + g.cout)));
+}
+
+// Calls fn(b, t0, t1, row) for every batch item overlapping panel rows
+// [r0, r1): its time steps [t0, t1) start at chunk-relative row `row`.
+// Items touch disjoint slices of x and of the (B, C, Lout) tensors, so
+// running them in parallel keeps every result bit-identical.
+template <typename Fn>
+void ForEachConvItem(const ConvGeometry& g, int64_t r0, int64_t r1, Fn fn) {
+  const int64_t b_lo = r0 / g.lout;
+  const int64_t b_hi = (r1 - 1) / g.lout + 1;
+#pragma omp parallel for if ((r1 - r0) * (g.kdim() + g.cout) > kParallelCutoff)
+  for (int64_t b = b_lo; b < b_hi; ++b) {
+    const int64_t t0 = std::max<int64_t>(0, r0 - b * g.lout);
+    const int64_t t1 = std::min<int64_t>(g.lout, r1 - b * g.lout);
+    fn(b, t0, t1, b * g.lout + t0 - r0);
+  }
+}
+
+// im2col (kCol2Im = false) gathers panel rows [r0, r1) from x; col2im
+// (kCol2Im = true) adds them back into x, dropping the padding taps. x is
+// only read in the gather direction.
+template <bool kCol2Im>
+void Im2Col(const ConvGeometry& g, int64_t r0, int64_t r1, float* x,
+            float* col) {
+  const int64_t kdim = g.kdim();
+  ForEachConvItem(g, r0, r1, [&](int64_t b, int64_t t0, int64_t t1,
+                                 int64_t row) {
+    for (int64_t ci = 0; ci < g.cin; ++ci) {
+      float* xrow = x + (b * g.cin + ci) * g.len;
+      for (int64_t k = 0; k < g.ksize; ++k) {
+        const int64_t shift = k * g.dilation - g.pad_left;
+        // Time steps [lo, hi) tap inside x; the rest tap the padding.
+        const int64_t lo = std::clamp<int64_t>(-shift, t0, t1);
+        const int64_t hi = std::clamp<int64_t>(g.len - shift, lo, t1);
+        float* cell = col + row * kdim + ci * g.ksize + k;
+        if constexpr (kCol2Im) {
+          for (int64_t t = lo; t < hi; ++t) {
+            xrow[t + shift] += cell[(t - t0) * kdim];
+          }
+        } else {
+          for (int64_t t = t0; t < lo; ++t) cell[(t - t0) * kdim] = 0.0f;
+          for (int64_t t = lo; t < hi; ++t) {
+            cell[(t - t0) * kdim] = xrow[t + shift];
+          }
+          for (int64_t t = hi; t < t1; ++t) cell[(t - t0) * kdim] = 0.0f;
+        }
+      }
+    }
+  });
+}
+
+// Copies panel rows [r0, r1) of a (B, cout, Lout) tensor into a
+// (rows, cout) staging block (kToRows) or back out of it.
+template <bool kToRows>
+void RestageRows(const ConvGeometry& g, int64_t r0, int64_t r1, float* bcl,
+                 float* rows) {
+  ForEachConvItem(g, r0, r1, [&](int64_t b, int64_t t0, int64_t t1,
+                                 int64_t row) {
+    for (int64_t co = 0; co < g.cout; ++co) {
+      float* series = bcl + (b * g.cout + co) * g.lout;
+      float* cell = rows + row * g.cout + co;
+      for (int64_t t = t0; t < t1; ++t) {
+        if constexpr (kToRows) {
+          cell[(t - t0) * g.cout] = series[t];
+        } else {
+          series[t] = cell[(t - t0) * g.cout];
+        }
+      }
+    }
+  });
+}
+
+}  // namespace
+
 Tensor Conv1d(const Tensor& x, const Tensor& w, int64_t dilation,
               int64_t pad_left, int64_t pad_right) {
   DYHSL_CHECK_EQ(x.dim(), 3);
   DYHSL_CHECK_EQ(w.dim(), 3);
-  int64_t batch = x.size(0), cin = x.size(1), len = x.size(2);
-  int64_t cout = w.size(0), kcin = w.size(1), ksize = w.size(2);
-  DYHSL_CHECK_EQ(cin, kcin);
-  int64_t reach = (ksize - 1) * dilation;
-  int64_t lout = len + pad_left + pad_right - reach;
+  DYHSL_CHECK_EQ(x.size(1), w.size(1));
+  const int64_t len = x.size(2), ksize = w.size(2);
+  const int64_t lout = len + pad_left + pad_right - (ksize - 1) * dilation;
   DYHSL_CHECK_GT(lout, 0);
-  Tensor out = Tensor::Zeros({batch, cout, lout});
-  const float* px = x.data();
-  const float* pw = w.data();
-  float* po = out.data();
-#pragma omp parallel for collapse(2) if (batch * cout * lout > 1024)
-  for (int64_t b = 0; b < batch; ++b) {
-    for (int64_t co = 0; co < cout; ++co) {
-      float* orow = po + (b * cout + co) * lout;
-      for (int64_t ci = 0; ci < cin; ++ci) {
-        const float* xrow = px + (b * cin + ci) * len;
-        const float* wrow = pw + (co * cin + ci) * ksize;
-        for (int64_t k = 0; k < ksize; ++k) {
-          float wv = wrow[k];
-          if (wv == 0.0f) continue;
-          // out[t] += w[k] * x[t - pad_left + k*dilation]
-          int64_t shift = k * dilation - pad_left;
-          int64_t t_lo = std::max<int64_t>(0, -shift);
-          int64_t t_hi = std::min<int64_t>(lout, len - shift);
-          for (int64_t t = t_lo; t < t_hi; ++t) {
-            orow[t] += wv * xrow[t + shift];
-          }
-        }
-      }
-    }
+  const ConvGeometry g{x.size(0), x.size(1), len, w.size(0),
+                       ksize,     dilation,  pad_left, lout};
+  Tensor out({g.batch, g.cout, lout});  // every element restaged below
+  const int64_t chunk = ConvChunkRows(g);
+  Tensor col({chunk, g.kdim()});
+  Tensor staged({chunk, g.cout});
+  for (int64_t r0 = 0; r0 < g.rows(); r0 += chunk) {
+    const int64_t r1 = std::min(g.rows(), r0 + chunk);
+    Im2Col<false>(g, r0, r1, const_cast<float*>(x.data()), col.data());
+    GemmInto(/*trans_a=*/false, /*trans_b=*/true, r1 - r0, g.cout, g.kdim(),
+             col.data(), g.kdim(), w.data(), g.kdim(), /*beta=*/0.0f,
+             staged.data(), g.cout);
+    RestageRows<false>(g, r0, r1, out.data(), staged.data());
   }
   return out;
 }
@@ -907,32 +994,20 @@ Tensor Conv1d(const Tensor& x, const Tensor& w, int64_t dilation,
 Tensor Conv1dBackwardInput(const Tensor& grad_out, const Tensor& w,
                            const Shape& x_shape, int64_t dilation,
                            int64_t pad_left) {
-  int64_t batch = x_shape[0], cin = x_shape[1], len = x_shape[2];
-  int64_t cout = w.size(0), ksize = w.size(2);
-  int64_t lout = grad_out.size(2);
+  const ConvGeometry g{x_shape[0], x_shape[1], x_shape[2], w.size(0),
+                       w.size(2),  dilation,   pad_left,   grad_out.size(2)};
   Tensor gx = Tensor::Zeros(x_shape);
-  const float* pg = grad_out.data();
-  const float* pw = w.data();
-  float* px = gx.data();
-#pragma omp parallel for collapse(2) if (batch * cin > 8)
-  for (int64_t b = 0; b < batch; ++b) {
-    for (int64_t ci = 0; ci < cin; ++ci) {
-      float* xrow = px + (b * cin + ci) * len;
-      for (int64_t co = 0; co < cout; ++co) {
-        const float* grow = pg + (b * cout + co) * lout;
-        const float* wrow = pw + (co * cin + ci) * ksize;
-        for (int64_t k = 0; k < ksize; ++k) {
-          float wv = wrow[k];
-          if (wv == 0.0f) continue;
-          int64_t shift = k * dilation - pad_left;
-          int64_t t_lo = std::max<int64_t>(0, -shift);
-          int64_t t_hi = std::min<int64_t>(lout, len - shift);
-          for (int64_t t = t_lo; t < t_hi; ++t) {
-            xrow[t + shift] += wv * grow[t];
-          }
-        }
-      }
-    }
+  const int64_t chunk = ConvChunkRows(g);
+  Tensor staged({chunk, g.cout});
+  Tensor col({chunk, g.kdim()});
+  for (int64_t r0 = 0; r0 < g.rows(); r0 += chunk) {
+    const int64_t r1 = std::min(g.rows(), r0 + chunk);
+    RestageRows<true>(g, r0, r1, const_cast<float*>(grad_out.data()),
+                      staged.data());
+    GemmInto(/*trans_a=*/false, /*trans_b=*/false, r1 - r0, g.kdim(), g.cout,
+             staged.data(), g.cout, w.data(), g.kdim(), /*beta=*/0.0f,
+             col.data(), g.kdim());
+    Im2Col<true>(g, r0, r1, gx.data(), col.data());
   }
   return gx;
 }
@@ -940,32 +1015,20 @@ Tensor Conv1dBackwardInput(const Tensor& grad_out, const Tensor& w,
 Tensor Conv1dBackwardWeight(const Tensor& grad_out, const Tensor& x,
                             const Shape& w_shape, int64_t dilation,
                             int64_t pad_left) {
-  int64_t batch = x.size(0), cin = x.size(1), len = x.size(2);
-  int64_t cout = w_shape[0], ksize = w_shape[2];
-  int64_t lout = grad_out.size(2);
+  const ConvGeometry g{x.size(0), x.size(1), x.size(2), w_shape[0],
+                       w_shape[2], dilation, pad_left,  grad_out.size(2)};
   Tensor gw = Tensor::Zeros(w_shape);
-  const float* pg = grad_out.data();
-  const float* px = x.data();
-  float* pw = gw.data();
-#pragma omp parallel for collapse(2) if (cout * cin > 8)
-  for (int64_t co = 0; co < cout; ++co) {
-    for (int64_t ci = 0; ci < cin; ++ci) {
-      float* wrow = pw + (co * cin + ci) * ksize;
-      for (int64_t b = 0; b < batch; ++b) {
-        const float* grow = pg + (b * cout + co) * lout;
-        const float* xrow = px + (b * cin + ci) * len;
-        for (int64_t k = 0; k < ksize; ++k) {
-          int64_t shift = k * dilation - pad_left;
-          int64_t t_lo = std::max<int64_t>(0, -shift);
-          int64_t t_hi = std::min<int64_t>(lout, len - shift);
-          double acc = 0.0;
-          for (int64_t t = t_lo; t < t_hi; ++t) {
-            acc += static_cast<double>(grow[t]) * xrow[t + shift];
-          }
-          wrow[k] += static_cast<float>(acc);
-        }
-      }
-    }
+  const int64_t chunk = ConvChunkRows(g);
+  Tensor staged({chunk, g.cout});
+  Tensor col({chunk, g.kdim()});
+  for (int64_t r0 = 0; r0 < g.rows(); r0 += chunk) {
+    const int64_t r1 = std::min(g.rows(), r0 + chunk);
+    RestageRows<true>(g, r0, r1, const_cast<float*>(grad_out.data()),
+                      staged.data());
+    Im2Col<false>(g, r0, r1, const_cast<float*>(x.data()), col.data());
+    GemmInto(/*trans_a=*/true, /*trans_b=*/false, g.cout, g.kdim(), r1 - r0,
+             staged.data(), g.cout, col.data(), g.kdim(), /*beta=*/1.0f,
+             gw.data(), g.kdim());
   }
   return gw;
 }

@@ -189,6 +189,9 @@ Tensor MaxPoolAxisValues(const Tensor& a, int64_t axis, int64_t window);
 
 /// \brief x: (B, Cin, L), w: (Cout, Cin, K) -> (B, Cout, Lout) with
 /// Lout = L + pad_left + pad_right - (K-1)*dilation. Zero padding.
+/// The forward and both VJPs run on the blocked GEMM over an im2col
+/// panel, so results are bit-identical for any thread count, and each
+/// batch item's output does not depend on the rest of the batch.
 Tensor Conv1d(const Tensor& x, const Tensor& w, int64_t dilation,
               int64_t pad_left, int64_t pad_right);
 Tensor Conv1dBackwardInput(const Tensor& grad_out, const Tensor& w,

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <memory>
 #include <random>
@@ -518,6 +519,78 @@ TEST(StreamSessionTest, RollingStatsTrackMaskedFlowAndDrift) {
   EXPECT_GT(moved.ValueOrDie().rolling_std, 0.0f);
 }
 
+TEST(StreamSessionTest, NonFiniteReadingIsADropoutForWarmCarry) {
+  // One NaN reading used to enter the ring and the carried DCRNN state,
+  // so every later forecast came out non-finite while Append and Forecast
+  // kept returning OK. It now ingests as 0 raw flow: the session stays bit
+  // for bit on a twin that was fed an explicit 0.
+  const data::TrafficDataset& ds = SharedDataset();
+  train::ForecastTask task = train::ForecastTask::FromDataset(ds);
+  auto router = std::move(ForecastRouter::Create()).ValueOrDie();
+  ASSERT_TRUE(
+      router->AddModel("dcrnn", task, ZooFactory("DCRNN", TinyZoo())).ok());
+  SessionManager manager(router.get());
+  SessionOptions warm;
+  warm.warm_state = true;
+  ASSERT_TRUE(manager.Open("nan", warm).ok());
+  ASSERT_TRUE(manager.Open("zero", warm).ok());
+
+  data::TickStream stream(ds.traffic(), 0, 3 * task.history);
+  for (; !stream.Done(); stream.Advance()) {
+    T::Tensor clean = stream.Frame().Clone();
+    T::Tensor dirty = clean.Clone();
+    if (stream.tick() == 3) {
+      dirty.data()[1] = std::nanf("");
+      clean.data()[1] = 0.0f;
+    }
+    ASSERT_TRUE(manager.Append("nan", stream.tick(), dirty).ok());
+    ASSERT_TRUE(manager.Append("zero", stream.tick(), clean).ok());
+  }
+  ForecastResponse nan = manager.Forecast("nan");
+  ForecastResponse zero = manager.Forecast("zero");
+  ASSERT_TRUE(nan.status.ok()) << nan.status.ToString();
+  ASSERT_TRUE(zero.status.ok()) << zero.status.ToString();
+  for (int64_t i = 0; i < nan.forecast.numel(); ++i) {
+    ASSERT_TRUE(std::isfinite(nan.forecast.data()[i])) << "element " << i;
+  }
+  EXPECT_TRUE(TensorEq(nan.forecast, zero.forecast));
+  EXPECT_EQ(manager.SessionInfo("nan").ValueOrDie().nonfinite, 1);
+  EXPECT_EQ(manager.SessionInfo("zero").ValueOrDie().nonfinite, 0);
+}
+
+TEST(StreamSessionTest, InfiniteReadingsStayOutOfRollingStats) {
+  // +Inf passed the `v > mask_threshold` test and turned rolling_mean and
+  // drift_score into NaN for good. Non-finite readings are now dropouts.
+  train::ForecastTask task = train::RingForecastTask(8, 12);
+  auto router = std::move(ForecastRouter::Create()).ValueOrDie();
+  ASSERT_TRUE(
+      router->AddModel("stgcn", task, ZooFactory("STGCN", TinyZoo())).ok());
+  SessionManager manager(router.get());
+  SessionOptions options;
+  options.stats_alpha = 0.5f;
+  ASSERT_TRUE(manager.Open("s", options).ok());
+
+  T::Tensor frame({8});
+  frame.Fill(100.0f);
+  ASSERT_TRUE(manager.Append("s", 0, frame).ok());
+  T::Tensor bad = frame.Clone();
+  bad.data()[0] = std::numeric_limits<float>::infinity();
+  bad.data()[1] = -std::numeric_limits<float>::infinity();
+  bad.data()[2] = std::nanf("");
+  ASSERT_TRUE(manager.Append("s", 1, bad).ok());
+  SessionStats info = manager.SessionInfo("s").ValueOrDie();
+  EXPECT_FLOAT_EQ(info.rolling_mean, 100.0f);
+  EXPECT_FLOAT_EQ(info.rolling_std, 0.0f);
+  EXPECT_TRUE(std::isfinite(info.drift_score));
+  EXPECT_EQ(info.nonfinite, 3);
+
+  // The moments keep tracking live traffic afterwards.
+  T::Tensor frame2({8});
+  frame2.Fill(200.0f);
+  ASSERT_TRUE(manager.Append("s", 2, frame2).ok());
+  EXPECT_FLOAT_EQ(manager.SessionInfo("s").ValueOrDie().rolling_mean, 150.0f);
+}
+
 TEST(StreamSessionTest, ConcurrentAppendAndForecastStaySequenced) {
   const data::TrafficDataset& ds = SharedDataset();
   train::ForecastTask task = train::ForecastTask::FromDataset(ds);
@@ -870,6 +943,48 @@ TEST(StreamSessionTest, ForecastBatchMatchesPerSessionForecastAcrossModels) {
   RouterStats rstats = router->Stats();
   EXPECT_EQ(rstats.total.batched_submits, 1 + plan.num_shards());
   EXPECT_EQ(rstats.total.batched_max, 3);
+}
+
+TEST(StreamSessionTest, StgcnFleetShapeForecastBatchIsBitIdentical) {
+  // The windowed STGCN fleet at serving shape: 8 sessions on an N=24
+  // network with d=16. Batching stacks the sessions' sensors into the rows
+  // of one temporal-conv GEMM, so a row's result must not depend on which
+  // other rows share the call.
+  const int64_t kNodes = 24;
+  const int kSessions = 8;
+  train::ForecastTask task = train::RingForecastTask(kNodes, 12);
+  train::ZooConfig zoo = TinyZoo();
+  zoo.hidden_dim = 16;
+  auto router = std::move(ForecastRouter::Create()).ValueOrDie();
+  ASSERT_TRUE(router->AddModel("stgcn", task, ZooFactory("STGCN", zoo)).ok());
+  SessionManager manager(router.get());
+  std::vector<std::string> ids;
+  for (int i = 0; i < kSessions; ++i) {
+    ids.push_back("s" + std::to_string(i));
+    ASSERT_TRUE(manager.Open(ids.back(), SessionOptions()).ok());
+  }
+  Rng rng(5);
+  for (int64_t tick = 0; tick < task.history; ++tick) {
+    std::vector<T::Tensor> frames;
+    for (int i = 0; i < kSessions; ++i) {
+      frames.push_back(
+          T::AddScalar(T::MulScalar(T::Abs(T::Tensor::Randn({kNodes}, &rng)),
+                                    150.0f),
+                       20.0f));
+    }
+    for (const Status& s : manager.AppendMany(ids, tick, frames)) {
+      ASSERT_TRUE(s.ok()) << s.ToString();
+    }
+  }
+  std::vector<ForecastResponse> batched = manager.ForecastBatch(ids);
+  ASSERT_EQ(batched.size(), ids.size());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    ForecastResponse solo = manager.Forecast(ids[i]);
+    ASSERT_TRUE(solo.status.ok()) << solo.status.ToString();
+    ASSERT_TRUE(batched[i].status.ok()) << batched[i].status.ToString();
+    EXPECT_EQ(batched[i].batch_size, kSessions);
+    EXPECT_TRUE(TensorEq(batched[i].forecast, solo.forecast)) << ids[i];
+  }
 }
 
 TEST(StreamSessionTest, BatchedWarmCarryMatchesSequentialWithinTolerance) {

@@ -1,6 +1,7 @@
 // Kernel-equivalence suite for the blocked, packed GEMM layer
-// (src/tensor/gemm.h), the fused out-parameter / in-place ops, and the
-// Workspace arena allocator (src/tensor/workspace.h).
+// (src/tensor/gemm.h), Conv1d and its VJPs lowered onto that GEMM, the
+// fused out-parameter / in-place ops, and the Workspace arena allocator
+// (src/tensor/workspace.h).
 //
 // The blocked kernel is checked against an independent naive triple-loop
 // reference across odd/prime sizes (micro-kernel tails in every
@@ -8,6 +9,8 @@
 // pattern, and both beta modes — plus bit-determinism across OpenMP
 // thread counts.
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -20,6 +23,7 @@
 
 #include "src/autograd/ops.h"
 #include "src/autograd/variable.h"
+#include "src/core/parallel.h"
 #include "src/core/rng.h"
 #include "src/tensor/gemm.h"
 #include "src/tensor/ops.h"
@@ -256,6 +260,265 @@ TEST_F(TensorKernelsTest, GemmBitDeterministicAcrossThreadCounts) {
   EXPECT_TENSOR_EQ(m4, m1);
 }
 #endif  // _OPENMP
+
+// ---------------------------------------------------------------------------
+// Conv1d lowered onto the GEMM
+// ---------------------------------------------------------------------------
+
+// Direct scalar convolution loops over (B, Cin, L) x (Cout, Cin, K): the
+// reference the im2col + GEMM lowering must reproduce. out[b][co][t] sums
+// w[co][ci][k] * x[b][ci][t + k * dilation - pad_left] over in-range taps.
+Tensor RefConv1d(const Tensor& x, const Tensor& w, int64_t dilation,
+                 int64_t pad_left, int64_t pad_right) {
+  int64_t batch = x.size(0), cin = x.size(1), len = x.size(2);
+  int64_t cout = w.size(0), ksize = w.size(2);
+  int64_t lout = len + pad_left + pad_right - (ksize - 1) * dilation;
+  Tensor out = Tensor::Zeros({batch, cout, lout});
+  for (int64_t b = 0; b < batch; ++b) {
+    for (int64_t co = 0; co < cout; ++co) {
+      float* orow = out.data() + (b * cout + co) * lout;
+      for (int64_t ci = 0; ci < cin; ++ci) {
+        const float* xrow = x.data() + (b * cin + ci) * len;
+        const float* wrow = w.data() + (co * cin + ci) * ksize;
+        for (int64_t k = 0; k < ksize; ++k) {
+          int64_t shift = k * dilation - pad_left;
+          int64_t t_lo = std::max<int64_t>(0, -shift);
+          int64_t t_hi = std::min<int64_t>(lout, len - shift);
+          for (int64_t t = t_lo; t < t_hi; ++t) {
+            orow[t] += wrow[k] * xrow[t + shift];
+          }
+        }
+      }
+    }
+  }
+  return out;
+}
+
+Tensor RefConv1dBackwardInput(const Tensor& grad_out, const Tensor& w,
+                              const Shape& x_shape, int64_t dilation,
+                              int64_t pad_left) {
+  int64_t batch = x_shape[0], cin = x_shape[1], len = x_shape[2];
+  int64_t cout = w.size(0), ksize = w.size(2), lout = grad_out.size(2);
+  Tensor gx = Tensor::Zeros(x_shape);
+  for (int64_t b = 0; b < batch; ++b) {
+    for (int64_t ci = 0; ci < cin; ++ci) {
+      float* xrow = gx.data() + (b * cin + ci) * len;
+      for (int64_t co = 0; co < cout; ++co) {
+        const float* grow = grad_out.data() + (b * cout + co) * lout;
+        const float* wrow = w.data() + (co * cin + ci) * ksize;
+        for (int64_t k = 0; k < ksize; ++k) {
+          int64_t shift = k * dilation - pad_left;
+          int64_t t_lo = std::max<int64_t>(0, -shift);
+          int64_t t_hi = std::min<int64_t>(lout, len - shift);
+          for (int64_t t = t_lo; t < t_hi; ++t) {
+            xrow[t + shift] += wrow[k] * grow[t];
+          }
+        }
+      }
+    }
+  }
+  return gx;
+}
+
+Tensor RefConv1dBackwardWeight(const Tensor& grad_out, const Tensor& x,
+                               const Shape& w_shape, int64_t dilation,
+                               int64_t pad_left) {
+  int64_t batch = x.size(0), cin = x.size(1), len = x.size(2);
+  int64_t cout = w_shape[0], ksize = w_shape[2], lout = grad_out.size(2);
+  Tensor gw = Tensor::Zeros(w_shape);
+  for (int64_t co = 0; co < cout; ++co) {
+    for (int64_t ci = 0; ci < cin; ++ci) {
+      float* wrow = gw.data() + (co * cin + ci) * ksize;
+      for (int64_t b = 0; b < batch; ++b) {
+        const float* grow = grad_out.data() + (b * cout + co) * lout;
+        const float* xrow = x.data() + (b * cin + ci) * len;
+        for (int64_t k = 0; k < ksize; ++k) {
+          int64_t shift = k * dilation - pad_left;
+          int64_t t_lo = std::max<int64_t>(0, -shift);
+          int64_t t_hi = std::min<int64_t>(lout, len - shift);
+          double acc = 0.0;
+          for (int64_t t = t_lo; t < t_hi; ++t) {
+            acc += static_cast<double>(grow[t]) * xrow[t + shift];
+          }
+          wrow[k] += static_cast<float>(acc);
+        }
+      }
+    }
+  }
+  return gw;
+}
+
+// Elementwise agreement within 1e-5 of the reference's magnitude (floored
+// at 1), with NaN exactly where the reference has NaN.
+::testing::AssertionResult ConvClose(const Tensor& actual,
+                                     const Tensor& expected) {
+  if (actual.shape() != expected.shape()) {
+    return ::testing::AssertionFailure()
+           << "shape " << ShapeToString(actual.shape()) << " vs "
+           << ShapeToString(expected.shape());
+  }
+  float scale = 1.0f;
+  for (int64_t i = 0; i < expected.numel(); ++i) {
+    if (std::isfinite(expected.data()[i])) {
+      scale = std::max(scale, std::fabs(expected.data()[i]));
+    }
+  }
+  for (int64_t i = 0; i < expected.numel(); ++i) {
+    const float a = actual.data()[i], e = expected.data()[i];
+    if (std::isnan(a) != std::isnan(e) ||
+        (!std::isnan(e) && std::fabs(a - e) > 1e-5f * scale)) {
+      return ::testing::AssertionFailure()
+             << "element " << i << ": " << a << " vs reference " << e
+             << " (scale " << scale << ")";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+struct ConvCase {
+  int64_t batch, cin, cout, len, ksize, dilation;
+  bool causal;
+};
+
+// Checks forward and both VJPs of one case against the reference loops.
+void ExpectConvMatchesReference(const ConvCase& c, Tensor x, Tensor w,
+                                Rng* rng) {
+  const int64_t reach = (c.ksize - 1) * c.dilation;
+  const int64_t pad_left = c.causal ? reach : reach / 2;
+  const int64_t pad_right = c.causal ? 0 : reach - reach / 2;
+  const Tensor y = Conv1d(x, w, c.dilation, pad_left, pad_right);
+  EXPECT_TRUE(ConvClose(y, RefConv1d(x, w, c.dilation, pad_left, pad_right)));
+  const Tensor g = Tensor::Randn(y.shape(), rng);
+  EXPECT_TRUE(ConvClose(
+      Conv1dBackwardInput(g, w, x.shape(), c.dilation, pad_left),
+      RefConv1dBackwardInput(g, w, x.shape(), c.dilation, pad_left)));
+  EXPECT_TRUE(ConvClose(
+      Conv1dBackwardWeight(g, x, w.shape(), c.dilation, pad_left),
+      RefConv1dBackwardWeight(g, x, w.shape(), c.dilation, pad_left)));
+}
+
+TEST_F(TensorKernelsTest, Conv1dMatchesReferenceAcrossShapeGrid) {
+  // cout 5 / 33 leave partial 16-wide register panels; 16 and 33 give odd
+  // panel counts, which take the single-panel kernel.
+  for (int64_t batch : {1, 3}) {
+    for (int64_t cin : {1, 5}) {
+      for (int64_t cout : {1, 5, 16, 33}) {
+        for (int64_t ksize = 1; ksize <= 4; ++ksize) {
+          for (int64_t dilation = 1; dilation <= 3; ++dilation) {
+            for (bool causal : {true, false}) {
+              const ConvCase c{batch, cin, cout, 9, ksize, dilation, causal};
+              SCOPED_TRACE(::testing::Message()
+                           << "B=" << batch << " cin=" << cin << " cout="
+                           << cout << " k=" << ksize << " d=" << dilation
+                           << (causal ? " causal" : " symmetric"));
+              ExpectConvMatchesReference(
+                  c, Tensor::Randn({batch, cin, c.len}, &rng_),
+                  Tensor::Randn({cout, cin, ksize}, &rng_), &rng_);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_F(TensorKernelsTest, Conv1dSingleOutputStep) {
+  // No padding and len == reach + 1: every output row reads the whole
+  // input series, Lout = 1.
+  for (int64_t ksize = 1; ksize <= 4; ++ksize) {
+    for (int64_t dilation = 1; dilation <= 3; ++dilation) {
+      const int64_t len = (ksize - 1) * dilation + 1;
+      Tensor x = Tensor::Randn({4, 3, len}, &rng_);
+      Tensor w = Tensor::Randn({33, 3, ksize}, &rng_);
+      const Tensor y = Conv1d(x, w, dilation, 0, 0);
+      ASSERT_EQ(y.shape(), (Shape{4, 33, 1}));
+      EXPECT_TRUE(ConvClose(y, RefConv1d(x, w, dilation, 0, 0)));
+      const Tensor g = Tensor::Randn(y.shape(), &rng_);
+      EXPECT_TRUE(ConvClose(Conv1dBackwardInput(g, w, x.shape(), dilation, 0),
+                            RefConv1dBackwardInput(g, w, x.shape(), dilation,
+                                                   0)));
+      EXPECT_TRUE(ConvClose(
+          Conv1dBackwardWeight(g, x, w.shape(), dilation, 0),
+          RefConv1dBackwardWeight(g, x, w.shape(), dilation, 0)));
+    }
+  }
+}
+
+TEST_F(TensorKernelsTest, Conv1dChunkedRowsMatchReference) {
+  // 300 x 12 = 3600 im2col rows: several row chunks, whose boundaries fall
+  // inside batch items, so the weight-gradient reduction and col2im both
+  // cross chunk boundaries.
+  const ConvCase c{300, 16, 32, 12, 3, 1, /*causal=*/true};
+  ExpectConvMatchesReference(c, Tensor::Randn({c.batch, c.cin, c.len}, &rng_),
+                             Tensor::Randn({c.cout, c.cin, c.ksize}, &rng_),
+                             &rng_);
+}
+
+TEST_F(TensorKernelsTest, Conv1dZeroWeightsGiveZeros) {
+  const ConvCase c{3, 5, 33, 9, 3, 2, /*causal=*/false};
+  Tensor x = Tensor::Randn({c.batch, c.cin, c.len}, &rng_);
+  Tensor w = Tensor::Zeros({c.cout, c.cin, c.ksize});
+  const Tensor y = Conv1d(x, w, c.dilation, 2, 2);
+  EXPECT_EQ(::dyhsl::testing::MaxAbsDiff(y, Tensor::Zeros(y.shape())), 0.0f);
+  const Tensor gx = Conv1dBackwardInput(Tensor::Randn(y.shape(), &rng_), w,
+                                        x.shape(), c.dilation, 2);
+  EXPECT_EQ(::dyhsl::testing::MaxAbsDiff(gx, Tensor::Zeros(x.shape())), 0.0f);
+  ExpectConvMatchesReference(c, x, w, &rng_);
+}
+
+TEST_F(TensorKernelsTest, Conv1dPropagatesNaNInput) {
+  // A NaN input reaches exactly the outputs whose receptive field covers
+  // it; everything else stays finite and matches the reference.
+  const ConvCase c{2, 5, 16, 12, 3, 2, /*causal=*/true};
+  Tensor x = Tensor::Randn({c.batch, c.cin, c.len}, &rng_);
+  x.data()[(1 * c.cin + 2) * c.len + 5] = std::nanf("");
+  Tensor w = Tensor::Randn({c.cout, c.cin, c.ksize}, &rng_);
+  ExpectConvMatchesReference(c, x, w, &rng_);
+  const Tensor y = Conv1d(x, w, c.dilation, 4, 0);
+  for (int64_t t = 0; t < c.len; ++t) {
+    // Causal, dilation 2, k=3: out[t] reads x[t-4], x[t-2], x[t].
+    const bool covers = t == 5 || t == 7 || t == 9;
+    EXPECT_EQ(std::isnan(y.At({1, 0, t})), covers) << "t=" << t;
+    EXPECT_FALSE(std::isnan(y.At({0, 0, t}))) << "t=" << t;
+  }
+  // Zero weights do not mask the NaN: 0 * NaN is NaN, as in any GEMM.
+  const Tensor y0 =
+      Conv1d(x, Tensor::Zeros({c.cout, c.cin, c.ksize}), c.dilation, 4, 0);
+  EXPECT_TRUE(std::isnan(y0.At({1, 3, 7})));
+  EXPECT_EQ(y0.At({0, 3, 7}), 0.0f);
+}
+
+TEST_F(TensorKernelsTest, Conv1dBitIdenticalAcrossTeamSizes) {
+  // The fleet shape (8 sessions x 24 sensors) and a multi-chunk batch.
+  for (int64_t batch : {192, 700}) {
+    Tensor x = Tensor::Randn({batch, 16, 12}, &rng_);
+    Tensor w = Tensor::Randn({32, 16, 3}, &rng_);
+    Tensor g = Tensor::Randn({batch, 32, 12}, &rng_);
+    Tensor y[2], gx[2], gw[2];
+    const int teams[2] = {1, 4};
+    for (int i = 0; i < 2; ++i) {
+      core::TeamScope team(teams[i]);
+      y[i] = Conv1d(x, w, 1, 2, 0);
+      gx[i] = Conv1dBackwardInput(g, w, x.shape(), 1, 2);
+      gw[i] = Conv1dBackwardWeight(g, x, w.shape(), 1, 2);
+    }
+    EXPECT_TENSOR_EQ(y[1], y[0]);
+    EXPECT_TENSOR_EQ(gx[1], gx[0]);
+    EXPECT_TENSOR_EQ(gw[1], gw[0]);
+  }
+}
+
+TEST_F(TensorKernelsTest, Conv1dBatchItemsIndependentOfBatch) {
+  // Every output row is its own GEMM row: running one item alone gives the
+  // same bits as running it inside a batch (batched serving relies on it).
+  Tensor x = Tensor::Randn({192, 16, 12}, &rng_);
+  Tensor w = Tensor::Randn({33, 16, 3}, &rng_);
+  const Tensor all = Conv1d(x, w, 1, 2, 0);
+  for (int64_t b : {0, 77, 191}) {
+    EXPECT_TENSOR_EQ(Conv1d(Slice(x, 0, b, 1), w, 1, 2, 0),
+                     Slice(all, 0, b, 1));
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Workspace arena
